@@ -13,7 +13,8 @@ use std::time::Instant;
 
 use xtalk::prelude::*;
 use xtalk::sim::align::coordinate_ascent;
-use xtalk::sim::path::{simulate_path, AggressorSpec, PathGateSpec, PathSpec};
+use xtalk::sim::path::{simulate_path, stop_time, AggressorSpec, PathGateSpec, PathSpec};
+use xtalk::sim::SimOptions;
 use xtalk::sta::report::ModeReport;
 
 /// Time offset applied to simulation stimuli (pre-roll so the circuit
@@ -222,8 +223,14 @@ pub struct SimResult {
 }
 
 /// Simulates the path quietly and with coordinate-ascent aggressor
-/// alignment (`rounds` passes).
+/// alignment (`rounds` passes). Every simulation runs to a stop time
+/// derived from the analyzed span ([`stop_time`]), so the output of a
+/// long path switches before the simulation ends.
 pub fn simulate_spec(design: &Design, spec: &SimSpec, rounds: usize) -> Option<SimResult> {
+    let options = SimOptions {
+        t_stop: stop_time(&spec.spec, spec.sta_delay),
+        ..SimOptions::default()
+    };
     let mut quiet_spec = spec.spec.clone();
     quiet_spec.aggressors.clear();
     let quiet_run = simulate_path(
@@ -233,7 +240,7 @@ pub fn simulate_spec(design: &Design, spec: &SimSpec, rounds: usize) -> Option<S
         &design.parasitics,
         &quiet_spec,
         &[],
-        None,
+        Some(options.clone()),
     )
     .ok()?;
     let quiet = quiet_run.delay;
@@ -266,7 +273,7 @@ pub fn simulate_spec(design: &Design, spec: &SimSpec, rounds: usize) -> Option<S
             &design.parasitics,
             &spec.spec,
             times,
-            None,
+            Some(options.clone()),
         )
         .ok()
         .map(|r| r.delay)
@@ -330,6 +337,46 @@ mod tests {
             wd < 0.5 * report.longest_delay,
             "wire {wd} vs path {}",
             report.longest_delay
+        );
+    }
+
+    /// A two-inverter path under a heavy wire load: its analyzed span is
+    /// longer than the simulator's per-gate stop-time guess, so the
+    /// output only switches if the stop time follows the span.
+    #[test]
+    fn simulate_spec_covers_spans_beyond_the_per_gate_guess() {
+        let process = Process::c05um();
+        let library = Library::c05um(&process);
+        let text = "INPUT(a)\nOUTPUT(y)\nw = NOT(a)\ny = NOT(w)\n";
+        let netlist = xtalk::netlist::bench::parse(text, &library).expect("parse");
+        let placement = xtalk::layout::place::place(&netlist, &library, &process);
+        let routes = xtalk::layout::route::route(&netlist, &placement, &process);
+        let mut parasitics = xtalk::layout::extract::extract(&netlist, &routes, &process);
+        for net in &mut parasitics.nets {
+            net.cwire += 2e-12;
+        }
+        let d = Design {
+            process,
+            library,
+            netlist,
+            parasitics,
+            wirelength: 0.0,
+            prep_seconds: 0.0,
+        };
+        let report = run_mode(&d, AnalysisMode::BestCase);
+        let spec = to_sim_spec(&d, &report, 0).expect("spec");
+        let per_gate_guess = spec.spec.gates.len() as f64 * 0.6e-9 + 4e-9;
+        assert!(
+            spec.sta_delay > per_gate_guess,
+            "span {} does not exceed the per-gate guess {per_gate_guess}",
+            spec.sta_delay
+        );
+        let sim = simulate_spec(&d, &spec, 1).expect("output switches before the stop time");
+        assert!(
+            (sim.quiet - spec.sta_delay).abs() < 0.25 * spec.sta_delay,
+            "simulated {} vs analyzed {}",
+            sim.quiet,
+            spec.sta_delay
         );
     }
 

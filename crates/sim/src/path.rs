@@ -110,6 +110,17 @@ pub struct PathSimResult {
     pub transient: Transient,
 }
 
+/// A stop time long enough for the output of `spec` to switch when its
+/// analyzed input-to-output span is `span` seconds: the stimulus, then the
+/// larger of 1.5 times the span (room for a simulated delay above the
+/// analyzed one) and 0.6 ns per gate, then 4 ns to settle. With no
+/// analyzed span (`0.0`) this is the per-gate guess [`simulate_path`] uses
+/// by default, which ends too early on long, slow paths.
+pub fn stop_time(spec: &PathSpec, span: f64) -> f64 {
+    let per_gate = spec.gates.len() as f64 * 0.6e-9;
+    spec.input_wave.end_time() + (1.5 * span).max(per_gate) + 4e-9
+}
+
 /// Simulates `spec` with the given aggressor switching times (seconds,
 /// same time base as `spec.input_wave`; one entry per aggressor).
 ///
@@ -268,10 +279,9 @@ pub fn simulate_path(
         );
     }
 
-    // Simulate long enough for the last stage to settle.
-    let t_guess = spec.input_wave.end_time() + spec.gates.len() as f64 * 0.6e-9 + 4e-9;
+    // Without caller options, guess a stop time from the gate count.
     let options = options.unwrap_or(SimOptions {
-        t_stop: t_guess,
+        t_stop: stop_time(spec, 0.0),
         ..SimOptions::default()
     });
     let transient = simulate(&circuit, process, &options)?;
@@ -419,6 +429,17 @@ mod tests {
         };
         let res = simulate_path(&nl, &l, &p, &para, &spec, &[], None).expect("simulate");
         assert!(res.delay > 0.0 && res.delay < 2e-9, "delay {}", res.delay);
+    }
+
+    #[test]
+    fn stop_time_covers_the_span_and_keeps_the_per_gate_floor() {
+        let (p, _, nl, _) = chain_setup();
+        let spec = chain_spec(&nl, &p);
+        let end = spec.input_wave.end_time();
+        let floor = end + 3.0 * 0.6e-9 + 4e-9;
+        assert_eq!(stop_time(&spec, 0.0), floor);
+        assert_eq!(stop_time(&spec, 1e-9), floor);
+        assert!((stop_time(&spec, 20e-9) - (end + 30e-9 + 4e-9)).abs() < 1e-18);
     }
 
     #[test]

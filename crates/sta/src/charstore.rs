@@ -257,6 +257,19 @@ impl CharStore {
     /// Only on failing to read the file itself; corruption inside the
     /// file is never an error.
     pub fn load(&self) -> std::io::Result<Replayed> {
+        self.load_where(|_| true)
+    }
+
+    /// [`load`](Self::load) restricted to the arc models whose key
+    /// `wanted` accepts — an analyzer's characterization universe. Other
+    /// arc records are not decoded and stay out of the model store, but
+    /// still contribute their identities to the seed set. Liberty records
+    /// replay as in `load`.
+    ///
+    /// # Errors
+    ///
+    /// Only on failing to read the file itself.
+    pub fn load_where(&self, wanted: impl Fn(u64) -> bool) -> std::io::Result<Replayed> {
         // Hold the writer lock across the read so a concurrent append
         // cannot interleave a half-written record into our view.
         let mut writer = lock(&self.writer);
@@ -282,6 +295,11 @@ impl CharStore {
                     break;
                 }
                 Some((payload, next)) => {
+                    if let Some(identity) = payload.and_then(|p| unwanted_arc(p, &wanted)) {
+                        out.seeds.insert(identity);
+                        cursor = next;
+                        continue;
+                    }
                     match payload.and_then(decode_record) {
                         Some(Record::Arc {
                             key,
@@ -421,6 +439,17 @@ fn record_key(payload: &[u8]) -> Option<(u8, u64)> {
     let kind = *payload.first()?;
     let key = u64::from_le_bytes(payload.get(1..9)?.try_into().ok()?);
     Some((kind, key))
+}
+
+/// The identity of an arc-model payload whose key `wanted` rejects;
+/// `None` for every other payload.
+fn unwanted_arc(payload: &[u8], wanted: &impl Fn(u64) -> bool) -> Option<u64> {
+    match record_key(payload)? {
+        (KIND_ARC, key) if !wanted(key) => {
+            Some(u64::from_le_bytes(payload.get(9..17)?.try_into().ok()?))
+        }
+        _ => None,
+    }
 }
 
 /// Decodes one payload. `None` on any structural violation — a checksum

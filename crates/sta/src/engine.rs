@@ -25,7 +25,7 @@ use xtalk_netlist::{Netlist, NetlistError};
 use xtalk_tech::{Library, Process};
 use xtalk_wave::stage::StageError;
 
-use crate::exec::{CacheStats, ExecConfig, Executor};
+use crate::exec::{netlist_cells, CacheStats, CharSummary, ExecConfig, Executor};
 use crate::graph::TimingGraph;
 use crate::kernel::{NodeState, PropagationCore};
 use crate::mode::AnalysisMode;
@@ -165,13 +165,15 @@ impl<'a> Sta<'a> {
     ) -> Result<Self, StaError> {
         let graph = TimingGraph::build(netlist, library, process, parasitics)?;
         // Characterize the macromodel tables up front (a no-op when the
-        // process-global store already holds this library): build time, not
-        // solve time, so the fast path never blocks a pass mid-flight. The
+        // process-global store already holds them): build time, not solve
+        // time, so the fast path never blocks a pass mid-flight. The
+        // netlist is immutable, so only the cells it instantiates can be
+        // queried — the universe is those cells, not the library. The
         // executor replays the on-disk characterization store first and
         // sweeps the remainder on its worker pool (`--characterize` picks
         // prewarm/lazy/off; signoff skips tables entirely).
         let exec = Executor::new(config);
-        exec.prewarm_tables(process, library);
+        exec.prewarm_tables(process, &netlist_cells(netlist, library));
         Ok(Sta {
             netlist,
             library,
@@ -190,6 +192,12 @@ impl<'a> Sta<'a> {
     /// Stage-solve cache counters accumulated so far.
     pub fn cache_stats(&self) -> CacheStats {
         self.exec.cache_stats()
+    }
+
+    /// What the build-time characterization covered: the netlist's
+    /// combinational cells and the wall time spent.
+    pub fn characterization(&self) -> CharSummary {
+        self.exec.char_summary()
     }
 
     /// Drops every stage-solve cache entry (counters keep accumulating).

@@ -25,9 +25,10 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use xtalk_tech::{Corner, Library, Process};
+use xtalk_netlist::Netlist;
+use xtalk_tech::{Cell, Corner, Library, Process};
 use xtalk_wave::macromodel;
 
 pub use cache::{CacheAdmission, CacheStats};
@@ -376,6 +377,26 @@ pub fn parse_corners(var: &'static str, spec: &str) -> Result<Vec<Corner>, Confi
     })
 }
 
+/// The cells a batch analysis of `netlist` can query: the distinct
+/// library cells its gates instantiate, in library (name) order. An
+/// immutable netlist never reaches an arc outside them, so they are a
+/// batch analyzer's whole characterization universe.
+pub fn netlist_cells<'l>(netlist: &Netlist, library: &'l Library) -> Vec<&'l Cell> {
+    let names: std::collections::BTreeSet<&str> =
+        netlist.gates().iter().map(|g| g.cell.as_str()).collect();
+    names.into_iter().filter_map(|n| library.cell(n)).collect()
+}
+
+/// What an analyzer's build-time characterization covered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CharSummary {
+    /// Combinational cells in the characterization universe.
+    pub cells: usize,
+    /// Wall time of build-time characterization (store replay, sweep and
+    /// store append), summed over every prewarm of the analyzer.
+    pub wall: Duration,
+}
+
 /// The per-analyzer execution state: the lazily built worker pool, the
 /// stage-solve cache, the diagnostic sink of the current analysis, and (in
 /// fault-injection builds) the active fault plan.
@@ -401,6 +422,8 @@ pub(crate) struct Executor {
     /// and openable. `None` degrades to characterize-fresh (a store
     /// failure can cost solves, never correctness).
     char_store: Option<Arc<crate::charstore::CharStore>>,
+    /// What [`prewarm_tables`](Self::prewarm_tables) has covered so far.
+    char_summary: std::sync::Mutex<CharSummary>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault_plan: std::sync::Mutex<Option<crate::fault::FaultPlan>>,
 }
@@ -439,6 +462,7 @@ impl Executor {
             sticky_diagnostics: std::sync::Mutex::new(store_fault.into_iter().collect()),
             deadline: AtomicU64::new(0),
             char_store,
+            char_summary: std::sync::Mutex::new(CharSummary::default()),
             #[cfg(any(test, feature = "fault-injection"))]
             fault_plan: std::sync::Mutex::new(None),
         }
@@ -449,23 +473,49 @@ impl Executor {
         self.char_store.as_ref()
     }
 
-    /// Builds the macromodel tables this configuration wants ready before
-    /// analysis: replays the on-disk characterization store (all modes
-    /// except signoff/off — lazy builds also want disk-warm tables), then
-    /// in prewarm mode characterizes whatever the store did not cover —
-    /// on the worker pool when one is configured — and appends the fresh
-    /// models back to the store.
+    /// Builds the macromodel tables of `cells` this configuration wants
+    /// ready before analysis: replays the on-disk characterization store
+    /// (all modes except signoff/off — lazy builds also want disk-warm
+    /// tables), then in prewarm mode characterizes whatever the store did
+    /// not cover — on the worker pool when one is configured — and appends
+    /// the fresh models back to the store. Replay, sweep and append all
+    /// stay inside the universe of `cells` ([`netlist_cells`] for a batch
+    /// analyzer, the whole library for an ECO-capable one).
     ///
     /// Every path is bit-identical: characterization is a deterministic
     /// pure function of `(process, arc)` and the model-store insert is
-    /// first-wins, so replay order, worker interleaving and the
-    /// seeded-first work ordering can change *when* a table exists, never
-    /// its contents.
-    pub(crate) fn prewarm_tables(&self, process: &Process, library: &Library) {
+    /// first-wins, so replay order, worker interleaving, the seeded-first
+    /// work ordering and the universe can change *when* (or whether) a
+    /// table exists, never its contents.
+    pub(crate) fn prewarm_tables(&self, process: &Process, cells: &[&Cell]) {
+        let started = Instant::now();
+        self.prewarm_universe(process, cells);
+        let mut summary = self
+            .char_summary
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        summary.cells = cells.iter().filter(|c| !c.is_sequential()).count();
+        summary.wall += started.elapsed();
+    }
+
+    /// What build-time characterization has covered so far.
+    pub(crate) fn char_summary(&self) -> CharSummary {
+        *self
+            .char_summary
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn prewarm_universe(&self, process: &Process, cells: &[&Cell]) {
         if self.config.signoff || self.config.characterize == CharacterizeMode::Off {
             return;
         }
-        let seeds = match self.char_store.as_ref().map(|s| s.load()) {
+        let universe = macromodel::arc_universe(process, cells);
+        let seeds = match self.char_store.as_ref().map(|s| {
+            let wanted: std::collections::HashSet<u64> =
+                universe.iter().map(|item| item.key).collect();
+            s.load_where(|key| wanted.contains(&key))
+        }) {
             Some(Ok(replay)) => replay.seeds,
             Some(Err(e)) => {
                 self.push_sticky_diagnostic(crate::diag::Diagnostic {
@@ -488,7 +538,10 @@ impl Executor {
         if self.config.characterize != CharacterizeMode::Prewarm {
             return;
         }
-        let mut work = macromodel::prewarm_work(process, library);
+        let mut work: Vec<_> = universe
+            .into_iter()
+            .filter(|item| macromodel::model_for(item.key).is_none())
+            .collect();
         if work.is_empty() {
             return;
         }

@@ -182,11 +182,14 @@ impl<'a> IncrementalSta<'a> {
         let graph = TimingGraph::build(&netlist, library, process, &parasitics)?;
         // Same build-time characterization as the batch engine, so ECO
         // reanalysis and a fresh batch run stay bit-identical (both answer
-        // the same queries from the same store). Lazy mode suits ECO
-        // especially: edits touching small cones characterize only the
-        // arcs they actually query.
+        // the same queries from the same store). The universe is the whole
+        // library, not the netlist's cells: a resize may instantiate any
+        // same-arity cell and a buffer edit any buffer, and an ECO must
+        // never characterize mid-request. Lazy mode suits ECO especially:
+        // edits touching small cones characterize only the arcs they
+        // actually query.
         let exec = Executor::new(config);
-        exec.prewarm_tables(process, library);
+        exec.prewarm_tables(process, &library.iter().collect::<Vec<_>>());
         Ok(Self {
             library,
             process,

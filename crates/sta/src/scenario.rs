@@ -35,7 +35,7 @@ use xtalk_netlist::Netlist;
 use xtalk_tech::{Corner, Library, Process};
 
 use crate::engine::StaError;
-use crate::exec::{ExecConfig, Executor};
+use crate::exec::{netlist_cells, CharSummary, ExecConfig, Executor};
 use crate::graph::TimingGraph;
 use crate::kernel::PropagationCore;
 use crate::mode::AnalysisMode;
@@ -112,10 +112,18 @@ impl<'a> ScenarioMatrix<'a> {
     /// characterization phase apart from the solve phase. Results are
     /// identical either way.
     pub fn prewarm(&self) {
+        let cells = netlist_cells(self.netlist, self.library);
         for corner in &self.corners {
             let process = self.base.corner(corner);
-            self.exec.prewarm_tables(&process, self.library);
+            self.exec.prewarm_tables(&process, &cells);
         }
+    }
+
+    /// What build-time characterization covered: the netlist's
+    /// combinational cells and the wall time spent over every corner.
+    #[must_use]
+    pub fn characterization(&self) -> CharSummary {
+        self.exec.char_summary()
     }
 
     /// Runs every corner through every requested analysis mode and
@@ -138,16 +146,18 @@ impl<'a> ScenarioMatrix<'a> {
         let seeding = self.seed && cache.enabled();
         let mut plan: Vec<u64> = Vec::new();
         let mut corners_out: Vec<CornerRun> = Vec::with_capacity(self.corners.len());
+        let cells = netlist_cells(self.netlist, self.library);
         let result: Result<(), StaError> = (|| {
             for (ci, corner) in self.corners.iter().enumerate() {
                 let process = self.base.corner(corner);
                 let graph =
                     TimingGraph::build(self.netlist, self.library, &process, self.parasitics)?;
-                // Corner-keyed characterization through the shared
-                // executor: the on-disk store replays once per corner
-                // (later corners and later runs find their tables) and
-                // the residual sweep runs on the worker pool.
-                self.exec.prewarm_tables(&process, self.library);
+                // Corner-keyed characterization of the netlist's cells
+                // through the shared executor: the on-disk store replays
+                // once per corner (later corners and later runs find
+                // their tables) and the residual sweep runs on the worker
+                // pool.
+                self.exec.prewarm_tables(&process, &cells);
                 if seeding {
                     if ci > 0 {
                         cache.seed_arcs(&plan);

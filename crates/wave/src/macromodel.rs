@@ -46,9 +46,9 @@
 //! and served analyses therefore stay bit-identical to each other in
 //! every characterization mode.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
 use xtalk_tech::cell::{Cell, Stage, StageSignal};
 use xtalk_tech::{DeviceType, Library, Process};
@@ -1146,8 +1146,35 @@ pub fn model_for(key: u64) -> Option<Arc<ArcModel>> {
     guard.get(&key).cloned()
 }
 
+/// Keys whose characterization sweep is running, with the condition
+/// variable their waiters sleep on.
+fn in_flight() -> &'static (Mutex<HashSet<u64>>, Condvar) {
+    static IN_FLIGHT: OnceLock<(Mutex<HashSet<u64>>, Condvar)> = OnceLock::new();
+    IN_FLIGHT.get_or_init(|| (Mutex::new(HashSet::new()), Condvar::new()))
+}
+
+/// One caller's claim on an in-flight key. Dropping it (after the store
+/// insert, or while unwinding from a panicking sweep) clears the key and
+/// wakes the waiters, who then find the model or claim the key in turn.
+struct Claim(u64);
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        let (busy, cv) = in_flight();
+        busy.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.0);
+        cv.notify_all();
+    }
+}
+
 /// Characterizes and inserts the arc's model unless the store already
 /// holds it, returning the stored model either way.
+///
+/// Single-flight: concurrent callers for one key (two pool workers, a
+/// lazy query racing a prewarm, two daemon sessions building at once)
+/// run one sweep between them; the others wait for its insert. Each arc
+/// is therefore characterized at most once per process.
 pub fn ensure_model(
     key: u64,
     process: &Process,
@@ -1159,6 +1186,21 @@ pub fn ensure_model(
     if let Some(m) = model_for(key) {
         return m;
     }
+    let (busy, cv) = in_flight();
+    let mut guard = busy.lock().unwrap_or_else(PoisonError::into_inner);
+    loop {
+        // Checked under the in-flight lock: an owner inserts its model
+        // before it clears its key, so a cleared key means a stored model.
+        if let Some(m) = model_for(key) {
+            return m;
+        }
+        if guard.insert(key) {
+            break;
+        }
+        guard = cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+    }
+    drop(guard);
+    let _claim = Claim(key);
     let model = Arc::new(characterize_arc(process, stage, slot, side, out_rising));
     let mut guard = store().write().unwrap_or_else(|e| e.into_inner());
     guard.entry(key).or_insert(model).clone()
@@ -1239,8 +1281,8 @@ pub fn clear_store() {
     guard.clear();
 }
 
-/// One prewarm work item: a characterizable combinational timing arc of a
-/// library cell whose model is not yet in the process-global store.
+/// One characterizable combinational timing arc of a library cell: a
+/// prewarm work item when its model is missing from the store.
 pub struct PrewarmItem<'l> {
     /// Store key of the arc's model ([`arc_key`]).
     pub key: u64,
@@ -1258,12 +1300,12 @@ pub struct PrewarmItem<'l> {
 }
 
 /// Whether an arc belongs to the prewarm universe — exactly
-/// [`prewarm_work`]'s enumeration: a combinational cell, a non-launch
-/// input slot, and side values bitwise equal to the canonical
-/// sensitization. Demand-driven (lazy) characterization builds a model
-/// only when this holds, so a lazy run and a prewarm run characterize
-/// the same key set and serve bit-identical tables; arcs outside the
-/// universe take the full solver under either schedule.
+/// [`arc_universe`]'s enumeration for the arc's cell: a combinational
+/// cell, a non-launch input slot, and side values bitwise equal to the
+/// canonical sensitization. Demand-driven (lazy) characterization builds
+/// a model only when this holds, so a lazy run and a prewarm run
+/// characterize the same key set and serve bit-identical tables; arcs
+/// outside the universe take the full solver under either schedule.
 pub fn prewarm_member(
     process: &Process,
     cell: &Cell,
@@ -1294,21 +1336,13 @@ pub fn prewarm_member(
             .all(|(&a, &b)| canon_bits(a) == canon_bits(b))
 }
 
-/// The outstanding characterization work of `library` under `process`:
-/// every combinational, sensitizable timing arc whose model is missing
-/// from the process-global store, in deterministic library order.
-/// Sequential cells are skipped (launch arcs always use the full solver).
-/// Each item is an independent, deterministic characterization, so a
-/// caller may execute the list in any order on any number of workers and
-/// produce bit-identical tables.
-pub fn prewarm_work<'l>(process: &Process, library: &'l Library) -> Vec<PrewarmItem<'l>> {
+/// Every combinational, sensitizable timing arc of `cells` under
+/// `process`, in the given cell order. Sequential cells are skipped
+/// (launch arcs always use the full solver).
+pub fn arc_universe<'l>(process: &Process, cells: &[&'l Cell]) -> Vec<PrewarmItem<'l>> {
     let vdd = process.vdd;
-    let mut work: Vec<PrewarmItem<'l>> = Vec::new();
-    let guard = store().read().unwrap_or_else(|e| e.into_inner());
-    for cell in library.iter() {
-        if cell.is_sequential() {
-            continue;
-        }
+    let mut arcs: Vec<PrewarmItem<'l>> = Vec::new();
+    for cell in cells.iter().filter(|c| !c.is_sequential()) {
         for (si, stage) in cell.stages.iter().enumerate() {
             for slot in 0..stage.inputs.len() {
                 if matches!(stage.inputs[slot], StageSignal::Launch) {
@@ -1318,32 +1352,46 @@ pub fn prewarm_work<'l>(process: &Process, library: &'l Library) -> Vec<PrewarmI
                     let Some(side) = sensitize::side_values(stage, slot, out_rising, vdd) else {
                         continue;
                     };
-                    let key = arc_key(process, &cell.name, si, slot, out_rising, &side);
-                    if !guard.contains_key(&key) {
-                        let identity = arc_identity(&cell.name, si, slot, out_rising, &side);
-                        work.push(PrewarmItem {
-                            key,
-                            identity,
-                            stage,
-                            slot,
-                            side,
-                            out_rising,
-                        });
-                    }
+                    arcs.push(PrewarmItem {
+                        key: arc_key(process, &cell.name, si, slot, out_rising, &side),
+                        identity: arc_identity(&cell.name, si, slot, out_rising, &side),
+                        stage,
+                        slot,
+                        side,
+                        out_rising,
+                    });
                 }
             }
         }
     }
-    work
+    arcs
+}
+
+/// The outstanding characterization work of `cells` under `process`:
+/// the arcs of [`arc_universe`] whose model is missing from the
+/// process-global store. Each item is an independent, deterministic
+/// characterization, so a caller may execute the list in any order on
+/// any number of workers and produce bit-identical tables.
+///
+/// The cell set is the caller's *characterization universe*: a batch
+/// analyzer passes the cells its netlist instantiates (the only arcs it
+/// can query), an ECO-capable session the whole library (any cell a
+/// resize or buffer edit may introduce).
+pub fn prewarm_work<'l>(process: &Process, cells: &[&'l Cell]) -> Vec<PrewarmItem<'l>> {
+    let guard = store().read().unwrap_or_else(|e| e.into_inner());
+    arc_universe(process, cells)
+        .into_iter()
+        .filter(|item| !guard.contains_key(&item.key))
+        .collect()
 }
 
 /// Characterizes every combinational timing arc of `library` into the
-/// process-global store, using up to `threads` worker threads. Called at
-/// analyzer build time (never from the solve path) so incremental edits
-/// that instantiate new cells of the same library still find their models
-/// — keeping ECO results bit-identical to a fresh batch run.
+/// process-global store, using up to `threads` worker threads — the
+/// whole-library universe, so incremental edits that instantiate new
+/// cells of the same library still find their models.
 pub fn prewarm_library(process: &Process, library: &Library, threads: usize) {
-    let work = prewarm_work(process, library);
+    let cells: Vec<&Cell> = library.iter().collect();
+    let work = prewarm_work(process, &cells);
     if work.is_empty() {
         return;
     }
