@@ -16,6 +16,14 @@
 //! full transistor-level Newton iteration, so the output must stay
 //! bit-identical to the pre-macromodel engine — serial and threaded alike.
 //!
+//! A second snapshot, `tests/golden/default_small_97.txt`, pins the
+//! *default* engine (characterized macromodel tables, the configuration
+//! a plain `xtalk report` runs) in the same format, serial and threaded.
+//! The table answers are padded approximations, so this file differs from
+//! the signoff one; it pins which arcs the tables answer and with which
+//! bits, so a change to model keying or table eligibility shows here
+//! even when the signoff snapshot cannot see it.
+//!
 //! Regenerate (only when an *intentional* numerical change lands) with:
 //!
 //! ```text
@@ -42,8 +50,10 @@ const MODES: [AnalysisMode; 7] = [
     AnalysisMode::MinDelay,
 ];
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/modes_small_97.txt")
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(file)
 }
 
 /// Hex bit pattern of an `f64` (or `-` for an absent arrival).
@@ -138,10 +148,13 @@ fn assert_matches_golden(golden: &str, current: &str, label: &str) {
     panic!("[{label}] golden snapshot diverged");
 }
 
-#[test]
-fn mode_reports_match_golden_snapshot() {
-    let serial = snapshot(ExecConfig::serial().with_signoff(true));
-    let path = golden_path();
+/// Compares the serial snapshot of `config` with the committed `file`
+/// (or records it under `XTALK_BLESS=1`), then checks that the threaded
+/// wavefront reproduces the same bits: the schedule changes the order
+/// stage solves land in, never their values.
+fn check_golden(file: &str, config: ExecConfig, label: &str) {
+    let serial = snapshot(config.clone().with_threads(1));
+    let path = golden_path(file);
     if std::env::var("XTALK_BLESS").as_deref() == Ok("1") {
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
         std::fs::write(&path, &serial).expect("write golden");
@@ -154,15 +167,21 @@ fn mode_reports_match_golden_snapshot() {
             path.display()
         )
     });
-    assert_matches_golden(&golden, &serial, "signoff serial");
+    assert_matches_golden(&golden, &serial, &format!("{label} serial"));
+    let threaded = snapshot(config.with_threads(4).with_serial_cutoff(0));
+    assert_matches_golden(&golden, &threaded, &format!("{label} threaded"));
+}
 
-    // Threaded signoff must reproduce the same bits: the wavefront schedule
-    // changes the order stage solves land in, never their values.
-    let threaded = snapshot(
-        ExecConfig::serial()
-            .with_signoff(true)
-            .with_threads(4)
-            .with_serial_cutoff(0),
+#[test]
+fn mode_reports_match_golden_snapshot() {
+    check_golden(
+        "modes_small_97.txt",
+        ExecConfig::serial().with_signoff(true),
+        "signoff",
     );
-    assert_matches_golden(&golden, &threaded, "signoff threaded");
+}
+
+#[test]
+fn default_engine_matches_golden_snapshot() {
+    check_golden("default_small_97.txt", ExecConfig::serial(), "default");
 }
