@@ -23,6 +23,7 @@
 use xtalk_layout::Parasitics;
 use xtalk_netlist::{Netlist, NetlistError};
 use xtalk_tech::{Library, Process};
+use xtalk_wave::macromodel;
 use xtalk_wave::stage::StageError;
 
 use crate::exec::{netlist_cells, CacheStats, CharSummary, ExecConfig, Executor};
@@ -248,6 +249,7 @@ impl<'a> Sta<'a> {
             parasitics: self.parasitics,
             graph: &self.graph,
             exec: &self.exec,
+            process_token: macromodel::process_sig(self.process),
         }
     }
 

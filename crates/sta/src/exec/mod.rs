@@ -392,6 +392,10 @@ pub fn netlist_cells<'l>(netlist: &Netlist, library: &'l Library) -> Vec<&'l Cel
 pub struct CharSummary {
     /// Combinational cells in the characterization universe.
     pub cells: usize,
+    /// Named timing arcs (cell, stage, slot, direction) of those cells;
+    /// twin arcs of different cells share one model, so the universe
+    /// holds fewer distinct models than this.
+    pub arcs: usize,
     /// Wall time of build-time characterization (store replay, sweep and
     /// store append), summed over every prewarm of the analyzer.
     pub wall: Duration,
@@ -495,6 +499,7 @@ impl Executor {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         summary.cells = cells.iter().filter(|c| !c.is_sequential()).count();
+        summary.arcs = macromodel::named_arc_count(process, cells);
         summary.wall += started.elapsed();
     }
 

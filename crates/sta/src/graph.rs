@@ -19,7 +19,7 @@ use xtalk_layout::Parasitics;
 use xtalk_netlist::{GateId, NetId, Netlist, NetlistError};
 use xtalk_tech::cell::StageSignal;
 use xtalk_tech::{Library, Process};
-use xtalk_wave::sensitize;
+use xtalk_wave::{macromodel, sensitize};
 
 /// Identifier of a timing node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -145,6 +145,9 @@ pub struct StageInst {
     pub gate: GateId,
     /// Stage index within the cell.
     pub stage: usize,
+    /// The stage's transistor signature ([`macromodel::stage_sig`]),
+    /// hashed once here so macromodel lookups never rehash the stage.
+    pub sig: u64,
     /// Per-slot inputs.
     pub inputs: Vec<TInput>,
     /// Output timing node.
@@ -374,6 +377,7 @@ impl TimingGraph {
                 stages.push(StageInst {
                     gate: gate_id,
                     stage: si,
+                    sig: macromodel::stage_sig(stage),
                     inputs,
                     output,
                     is_launch,

@@ -55,6 +55,7 @@ use std::time::Instant;
 use xtalk_layout::Parasitics;
 use xtalk_netlist::{GateId, Netlist};
 use xtalk_tech::{Library, Process};
+use xtalk_wave::macromodel;
 
 use crate::engine::{Sta, StaError};
 use crate::exec::{CacheStats, ExecConfig, Executor};
@@ -286,6 +287,7 @@ impl<'a> IncrementalSta<'a> {
             parasitics: &self.parasitics,
             graph: &self.graph,
             exec: &self.exec,
+            process_token: macromodel::process_sig(self.process),
         }
     }
 

@@ -347,6 +347,9 @@ pub struct PropagationCore<'a> {
     pub(crate) parasitics: &'a Parasitics,
     pub(crate) graph: &'a TimingGraph,
     pub(crate) exec: &'a Executor,
+    /// `macromodel::process_sig(process)`, computed once per core: every
+    /// macromodel key of its analyses folds it in.
+    pub(crate) process_token: u64,
 }
 
 impl PropagationCore<'_> {
@@ -931,17 +934,17 @@ impl PropagationCore<'_> {
                 // are not characterized (a pessimistic table would be
                 // *optimistic* for earliest-arrival merging); launch arcs
                 // and fault-injected stages always take the ordinary path.
-                let eligible =
-                    !(self.exec.config().signoff || earliest || launch || inject.skips_memo());
+                // Sequential cells are outside every characterization
+                // universe: models are keyed by the stage's transistors,
+                // so without this guard a flip-flop's output inverter
+                // would be served its combinational twin's padded table.
+                let eligible = !(self.exec.config().signoff
+                    || earliest
+                    || launch
+                    || cell.is_sequential()
+                    || inject.skips_memo());
                 let arc_key = eligible.then(|| {
-                    macromodel::arc_key(
-                        process,
-                        &gate.cell,
-                        stage_inst.stage,
-                        slot,
-                        out_rising,
-                        side,
-                    )
+                    macromodel::arc_key(self.process_token, stage_inst.sig, slot, out_rising, side)
                 });
                 let stored = arc_key.and_then(macromodel::model_for);
                 // In lazy mode an arc with no model yet carries its key
@@ -1256,8 +1259,12 @@ impl PropagationCore<'_> {
                 let built =
                     macromodel::ensure_model(key, self.process, stage, slot, side, out_rising);
                 if let Some(store) = self.exec.char_store() {
-                    let identity =
-                        macromodel::arc_identity(cell_name, stage_in_cell, slot, out_rising, side);
+                    let identity = macromodel::arc_identity(
+                        self.graph.stages[si.index()].sig,
+                        slot,
+                        out_rising,
+                        side,
+                    );
                     // Append failures degrade to characterize-again-next-
                     // process; the analysis itself is unaffected.
                     let _ = store.append_models(&[(key, identity, built.to_bytes())]);

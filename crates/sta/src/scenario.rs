@@ -33,6 +33,7 @@
 use xtalk_layout::Parasitics;
 use xtalk_netlist::Netlist;
 use xtalk_tech::{Corner, Library, Process};
+use xtalk_wave::macromodel;
 
 use crate::engine::StaError;
 use crate::exec::{netlist_cells, CharSummary, ExecConfig, Executor};
@@ -171,6 +172,7 @@ impl<'a> ScenarioMatrix<'a> {
                     parasitics: self.parasitics,
                     graph: &graph,
                     exec: &self.exec,
+                    process_token: macromodel::process_sig(&process),
                 };
                 let mut reports = Vec::with_capacity(modes.len());
                 for &mode in modes {

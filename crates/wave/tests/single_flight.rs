@@ -7,7 +7,9 @@
 use std::sync::{Arc, Barrier};
 
 use xtalk_tech::{Library, Process};
-use xtalk_wave::macromodel::{arc_key, char_solves, characterize_arc, ensure_model};
+use xtalk_wave::macromodel::{
+    arc_key, char_solves, characterize_arc, ensure_model, process_sig, stage_sig,
+};
 use xtalk_wave::sensitize;
 
 #[test]
@@ -17,7 +19,13 @@ fn concurrent_ensure_model_characterizes_an_arc_once() {
     let stage = &library.cell("NAND2X1").expect("cell").stages[0];
     let (slot, out_rising) = (0, true);
     let side = sensitize::side_values(stage, slot, out_rising, process.vdd).expect("sensitizable");
-    let key = arc_key(&process, "NAND2X1", 0, slot, out_rising, &side);
+    let key = arc_key(
+        process_sig(&process),
+        stage_sig(stage),
+        slot,
+        out_rising,
+        &side,
+    );
 
     // One arc's sweep, measured on a characterization that bypasses the
     // store.

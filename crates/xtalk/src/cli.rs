@@ -447,8 +447,9 @@ fn solver_summary(report: &ModeReport) -> String {
 /// solves` count is the number of characterization Newton sweeps this
 /// process ran — CI greps the `^characterization: N grid solves` prefix to
 /// prove a store-warm run paid zero. The line also names the analyzer's
-/// characterization universe (the combinational cells the netlist
-/// instantiates, against the library's) and the build-time
+/// characterization universe (the named arcs of the combinational cells
+/// the netlist instantiates, against the library's cells; twin arcs share
+/// a model, so the model count is smaller) and the build-time
 /// characterization wall time, which the analysis runtime excludes. The
 /// mode reads `signoff` when tables are disabled.
 fn characterization_summary(
@@ -468,11 +469,12 @@ fn characterization_summary(
         .as_ref()
         .map_or_else(|| "none".to_string(), |p| p.display().to_string());
     format!(
-        "characterization: {} grid solves, {} models ({} usable) for {} of {library_cells} cells \
-         in {:.2} s, mode {}, store {}\n",
+        "characterization: {} grid solves, {} models ({} usable) for {} arcs of {} of \
+         {library_cells} cells in {:.2} s, mode {}, store {}\n",
         m.char_solves,
         m.models,
         m.usable,
+        summary.arcs,
         summary.cells,
         summary.wall.as_secs_f64(),
         mode,
@@ -1409,18 +1411,19 @@ mod tests {
     #[test]
     fn mask_timing_hides_only_clock_and_lifetime_tokens() {
         let a = "d: iterative: longest path delay 1.234 ns (2 passes, 0.05 s)\n\
-                 characterization: 10 grid solves, 4 models (4 usable) for 2 of 24 cells \
+                 characterization: 10 grid solves, 4 models (4 usable) for 8 arcs of 2 of 24 cells \
                  in 1.50 s, mode prewarm, store none\n\
                  delay bits: 00ff";
         let b = "d: iterative: longest path delay 1.234 ns (2 passes, 0.03 s)\n\
-                 characterization: 90 grid solves, 9 models (8 usable) for 2 of 24 cells \
+                 characterization: 90 grid solves, 9 models (8 usable) for 8 arcs of 2 of 24 cells \
                  in 0.00 s, mode prewarm, store none\n\
                  delay bits: 00ff";
         assert_eq!(mask_timing(a), mask_timing(b));
         for changed in [
             a.replace("1.234 ns", "1.235 ns"),
             a.replace("2 passes", "3 passes"),
-            a.replace("for 2 of", "for 3 of"),
+            a.replace("for 8 arcs", "for 9 arcs"),
+            a.replace("of 2 of", "of 3 of"),
             a.replace("mode prewarm", "mode lazy"),
             a.replace("00ff", "00fe"),
         ] {
